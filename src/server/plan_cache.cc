@@ -1,118 +1,18 @@
 #include "server/plan_cache.h"
 
-#include <algorithm>
 #include <cctype>
-#include <cstdio>
-
-#include "obs/metrics.h"
 
 namespace sparqluo {
 
-PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
-  if (shards == 0) shards = 1;
-  shards = std::min(shards, std::max<size_t>(capacity, 1));
-  per_shard_capacity_ = std::max<size_t>(1, (capacity + shards - 1) / shards);
-  shards_.reserve(shards);
-  MetricRegistry& reg = MetricRegistry::Global();
-  for (size_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    std::string label = "shard=\"" + std::to_string(i) + "\"";
-    shard->hits_metric = reg.GetCounter(
-        "sparqluo_plan_cache_hits_total", "Plan cache lookups served", label);
-    shard->misses_metric = reg.GetCounter("sparqluo_plan_cache_misses_total",
-                                          "Plan cache lookups missed", label);
-    shard->evictions_metric =
-        reg.GetCounter("sparqluo_plan_cache_evictions_total",
-                       "Plan cache entries evicted", label);
-    shards_.push_back(std::move(shard));
-  }
-}
+namespace {
 
-PlanCache::Shard& PlanCache::ShardOf(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-const PlanCache::Shard& PlanCache::ShardOf(const std::string& key) const {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
+size_t PlanCost(const std::string&, const CachedPlan&) { return 1; }
 
-std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& key) {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    shard.misses_metric->Increment();
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.hits_metric->Increment();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->plan;
-}
+}  // namespace
 
-void PlanCache::Put(const std::string& key,
-                    std::shared_ptr<const CachedPlan> plan, uint64_t version) {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Concurrent planners can race to insert the same key; keep the newest.
-    it->second->plan = std::move(plan);
-    it->second->version = version;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    return;
-  }
-  shard.lru.push_front(Entry{key, std::move(plan), version});
-  shard.index.emplace(key, shard.lru.begin());
-  if (shard.lru.size() > per_shard_capacity_) {
-    shard.index.erase(shard.lru.back().key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-    shard.evictions_metric->Increment();
-  }
-}
-
-void PlanCache::EvictUnreachable(
-    uint64_t current_version, const std::vector<uint64_t>& pinned_versions) {
-  auto reachable = [&](uint64_t version) {
-    return version >= current_version ||
-           std::binary_search(pinned_versions.begin(), pinned_versions.end(),
-                              version);
-  };
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (!reachable(it->version)) {
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-        ++shard->evictions;
-        shard->evictions_metric->Increment();
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
-void PlanCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.clear();
-    shard->lru.clear();
-  }
-}
-
-PlanCache::Stats PlanCache::GetStats() const {
-  Stats out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.evictions += shard->evictions;
-    out.entries += shard->lru.size();
-  }
-  return out;
-}
+PlanCache::PlanCache(size_t capacity, size_t shards)
+    : VersionedLruCache(capacity, shards, &PlanCost, "sparqluo_plan_cache",
+                        "Plan cache", /*bytes_gauge=*/false) {}
 
 std::string PlanCache::NormalizeQuery(const std::string& text) {
   // Mirrors the lexer's skipping rules (src/sparql/lexer.cc): `#` starts a

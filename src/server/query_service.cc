@@ -32,12 +32,10 @@ void InvokeCompletion(const std::function<void(const Response&)>& hook,
 QueryService::QueryService(const Database& db, Options options)
     : db_(db),
       options_(options),
-      cache_(options.plan_cache_capacity, options.plan_cache_shards),
       // A disabled result cache gets a zero byte budget: every Put is a
-      // no-op, Get always misses, and the sweep walks empty shards.
+      // no-op, Get always misses, and the sweep walks one empty shard.
       result_cache_(options.enable_result_cache ? options.result_cache_bytes
-                                                : 0,
-                    options.result_cache_shards),
+                                                : 0),
       stats_(options.enable_metrics) {
   assert(db.finalized() && "QueryService requires a finalized Database");
   if (options_.enable_metrics) {
@@ -265,10 +263,8 @@ void QueryService::InvalidateCaches(uint64_t current_version) {
   // EvictUnreachable wants sorted distinct versions; the multiset copy is
   // sorted already.
   pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
-  // Both sweeps run unconditionally: gating on enable_plan_cache (as the
-  // pre-result-cache code did) would leave a plan-cache-disabled service's
-  // result cache accumulating entries for dead versions forever. Disabled
-  // caches are empty, so the extra sweep costs a few empty-shard locks.
+  // Both sweeps run whichever caches are enabled; a disabled cache is
+  // empty, so its sweep costs a few empty-shard locks.
   cache_.EvictUnreachable(current_version, pinned);
   result_cache_.EvictUnreachable(current_version, pinned);
 }

@@ -149,9 +149,8 @@ class QueryService {
     /// Pending submissions beyond the in-flight bound; submissions past
     /// this are rejected immediately (admission control).
     size_t max_queue = 1024;
+    /// Plan cache of PlanCache::kDefaultCapacity entries.
     bool enable_plan_cache = true;
-    size_t plan_cache_capacity = 512;
-    size_t plan_cache_shards = 8;
     /// Result cache: successful responses keyed by (normalized text,
     /// plan-relevant options, database version) are served without
     /// touching the engines. Invalidated by the same post-commit
@@ -159,7 +158,6 @@ class QueryService {
     bool enable_result_cache = true;
     /// Total result-cache payload budget in bytes, split across shards.
     size_t result_cache_bytes = 64ull << 20;
-    size_t result_cache_shards = 8;
     /// In-flight dedup: a submission whose cache key matches one already
     /// executing waits on the leader's result instead of executing. The
     /// follower's deadline/cancellation applies only to its own wait (it
@@ -223,10 +221,10 @@ class QueryService {
   /// Submits one update batch. Updates share the worker pool and the
   /// admission bound with queries; commits are serialized against each
   /// other by the versioned store's writer lock. After a successful commit
-  /// the plan cache drops every entry no reader can reach (neither the
-  /// new current version nor one an in-flight request still pins) —
-  /// plans for pinned older versions stay hittable until their last
-  /// reader finishes. Requires the updatable constructor.
+  /// both caches drop every entry no reader can reach (neither the new
+  /// current version nor one an in-flight request still pins) — entries
+  /// for pinned older versions stay hittable until their last reader
+  /// finishes. Requires the updatable constructor.
   std::future<UpdateResponse> SubmitUpdate(UpdateRequest request);
 
   /// Stops accepting new work and waits for all in-flight queries to

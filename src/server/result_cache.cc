@@ -1,38 +1,11 @@
 #include "server/result_cache.h"
 
-#include <algorithm>
-
-#include "obs/metrics.h"
-
 namespace sparqluo {
 
 ResultCache::ResultCache(size_t byte_budget, size_t shards)
-    : byte_budget_(byte_budget) {
-  if (shards == 0) shards = 1;
-  per_shard_budget_ = (byte_budget + shards - 1) / shards;
-  shards_.reserve(shards);
-  MetricRegistry& reg = MetricRegistry::Global();
-  for (size_t i = 0; i < shards; ++i) {
-    auto shard = std::make_unique<Shard>();
-    std::string label = "shard=\"" + std::to_string(i) + "\"";
-    shard->hits_metric =
-        reg.GetCounter("sparqluo_result_cache_hits_total",
-                       "Result cache lookups served", label);
-    shard->misses_metric =
-        reg.GetCounter("sparqluo_result_cache_misses_total",
-                       "Result cache lookups missed", label);
-    shard->evictions_metric =
-        reg.GetCounter("sparqluo_result_cache_evictions_total",
-                       "Result cache entries evicted", label);
-    shard->bytes_metric =
-        reg.GetGauge("sparqluo_result_cache_bytes",
-                     "Resident result cache payload bytes", label);
-    shard->entries_metric =
-        reg.GetGauge("sparqluo_result_cache_entries",
-                     "Resident result cache entries", label);
-    shards_.push_back(std::move(shard));
-  }
-}
+    : VersionedLruCache(byte_budget, shards, &ResultCache::EntryBytes,
+                        "sparqluo_result_cache", "Result cache",
+                        /*bytes_gauge=*/true) {}
 
 size_t ResultCache::EntryBytes(const std::string& key,
                                const CachedResult& result) {
@@ -43,119 +16,6 @@ size_t ResultCache::EntryBytes(const std::string& key,
                     ? result.rows.size()
                     : result.rows.size() * result.rows.width();
   return rows * sizeof(TermId) + 2 * key.size() + sizeof(Entry) + 64;
-}
-
-ResultCache::Shard& ResultCache::ShardOf(const std::string& key) {
-  return *shards_[std::hash<std::string>{}(key) % shards_.size()];
-}
-
-std::shared_ptr<const CachedResult> ResultCache::Get(const std::string& key) {
-  Shard& shard = ShardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.index.find(key);
-  if (it == shard.index.end()) {
-    ++shard.misses;
-    shard.misses_metric->Increment();
-    return nullptr;
-  }
-  ++shard.hits;
-  shard.hits_metric->Increment();
-  shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->result;
-}
-
-void ResultCache::Put(const std::string& key,
-                      std::shared_ptr<const CachedResult> result,
-                      uint64_t version) {
-  Shard& shard = ShardOf(key);
-  size_t bytes = EntryBytes(key, *result);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (bytes > per_shard_budget_) {
-    // Caching this result would evict the shard's whole working set and
-    // the entry itself would go next; don't thrash.
-    ++shard.oversize;
-    return;
-  }
-  auto it = shard.index.find(key);
-  if (it != shard.index.end()) {
-    // Concurrent executors can race to insert the same key; keep the
-    // newest (they are byte-identical anyway — same key means same
-    // version and same normalized text).
-    shard.bytes -= it->second->bytes;
-    it->second->result = std::move(result);
-    it->second->version = version;
-    it->second->bytes = bytes;
-    shard.bytes += bytes;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  } else {
-    shard.lru.push_front(Entry{key, std::move(result), version, bytes});
-    shard.index.emplace(key, shard.lru.begin());
-    shard.bytes += bytes;
-  }
-  EvictOverBudgetLocked(shard);
-  shard.bytes_metric->Set(static_cast<int64_t>(shard.bytes));
-  shard.entries_metric->Set(static_cast<int64_t>(shard.lru.size()));
-}
-
-void ResultCache::EvictOverBudgetLocked(Shard& shard) {
-  while (shard.bytes > per_shard_budget_ && shard.lru.size() > 1) {
-    Entry& victim = shard.lru.back();
-    shard.bytes -= victim.bytes;
-    shard.index.erase(victim.key);
-    shard.lru.pop_back();
-    ++shard.evictions;
-    shard.evictions_metric->Increment();
-  }
-}
-
-void ResultCache::EvictUnreachable(
-    uint64_t current_version, const std::vector<uint64_t>& pinned_versions) {
-  auto reachable = [&](uint64_t version) {
-    return version >= current_version ||
-           std::binary_search(pinned_versions.begin(), pinned_versions.end(),
-                              version);
-  };
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    for (auto it = shard->lru.begin(); it != shard->lru.end();) {
-      if (!reachable(it->version)) {
-        shard->bytes -= it->bytes;
-        shard->index.erase(it->key);
-        it = shard->lru.erase(it);
-        ++shard->evictions;
-        shard->evictions_metric->Increment();
-      } else {
-        ++it;
-      }
-    }
-    shard->bytes_metric->Set(static_cast<int64_t>(shard->bytes));
-    shard->entries_metric->Set(static_cast<int64_t>(shard->lru.size()));
-  }
-}
-
-void ResultCache::Clear() {
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    shard->index.clear();
-    shard->lru.clear();
-    shard->bytes = 0;
-    shard->bytes_metric->Set(0);
-    shard->entries_metric->Set(0);
-  }
-}
-
-ResultCache::Stats ResultCache::GetStats() const {
-  Stats out;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    out.hits += shard->hits;
-    out.misses += shard->misses;
-    out.evictions += shard->evictions;
-    out.oversize += shard->oversize;
-    out.entries += shard->lru.size();
-    out.bytes += shard->bytes;
-  }
-  return out;
 }
 
 }  // namespace sparqluo
