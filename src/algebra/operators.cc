@@ -23,20 +23,28 @@ bool RowsCompatible(const TermId* ra, const TermId* rb,
 
 namespace {
 
-struct VecHash {
-  size_t operator()(const std::vector<TermId>& v) const {
-    size_t h = 1469598103934665603ULL;
-    for (TermId x : v) {
-      h ^= x;
-      h *= 1099511628211ULL;
-    }
-    return h;
+/// Hashes the values of `row` at the a-side (`first`) or b-side columns of
+/// `cols`; sets `*full` to false if one is unbound. Reads the row in place,
+/// so multi-variable keys need no per-row key buffer.
+uint64_t HashKey(const TermId* row,
+                 const std::vector<std::pair<size_t, size_t>>& cols,
+                 bool first, bool* full) {
+  uint64_t h = 1469598103934665603ULL;
+  *full = true;
+  for (const auto& c : cols) {
+    TermId x = row[first ? c.first : c.second];
+    if (x == kUnboundTerm) *full = false;
+    h ^= x;
+    h *= 1099511628211ULL;
   }
-};
+  return h;
+}
 
 /// Shared machinery for Join / LeftOuterJoin / Minus: finds, for each row of
 /// `a`, the compatible rows of `b`. Single shared variables — the dominant
-/// case — use a scalar-keyed hash to avoid per-row vector allocations.
+/// case — key a scalar hash by the value itself. Several shared variables
+/// key it by a hash of the values; a probe re-checks each bucket row, so
+/// hash collisions cost a comparison, never a wrong match.
 /// An explicit [b_begin, b_end) restricts the indexed b-rows, which is how
 /// ParallelJoin shards one hash build across workers; reported row indices
 /// are absolute either way.
@@ -66,16 +74,12 @@ class CompatFinder {
       }
       return;
     }
-    std::vector<TermId> key(common_.size());
+    buckets_.reserve(b_end_ - b_begin_);
     for (size_t r = b_begin_; r < b_end_; ++r) {
-      const TermId* row = b.Row(r);
-      bool full = true;
-      for (size_t k = 0; k < common_.size(); ++k) {
-        key[k] = row[common_[k].second];
-        if (key[k] == kUnboundTerm) full = false;
-      }
+      bool full;
+      uint64_t h = HashKey(b.Row(r), common_, /*first=*/false, &full);
       if (full) {
-        buckets_[key].push_back(r);
+        buckets_[h].push_back(r);
       } else {
         partial_.push_back(r);
       }
@@ -112,16 +116,14 @@ class CompatFinder {
       }
       return;
     }
-    bool full = true;
-    std::vector<TermId> key(common_.size());
-    for (size_t k = 0; k < common_.size(); ++k) {
-      key[k] = ra[common_[k].first];
-      if (key[k] == kUnboundTerm) full = false;
-    }
+    bool full;
+    uint64_t h = HashKey(ra, common_, /*first=*/true, &full);
     if (full) {
-      auto it = buckets_.find(key);
+      // Both keys are fully bound, so compatibility is key equality.
+      auto it = buckets_.find(h);
       if (it != buckets_.end())
-        for (size_t r : it->second) fn(r);
+        for (size_t r : it->second)
+          if (internal::RowsCompatible(ra, b_.Row(r), common_)) fn(r);
       for (size_t r : partial_) {
         if (internal::RowsCompatible(ra, b_.Row(r), common_)) fn(r);
       }
@@ -139,8 +141,7 @@ class CompatFinder {
   size_t b_begin_;
   size_t b_end_;
   std::vector<std::pair<size_t, size_t>> common_;
-  std::unordered_map<std::vector<TermId>, std::vector<size_t>, VecHash>
-      buckets_;
+  std::unordered_map<uint64_t, std::vector<size_t>> buckets_;
   std::unordered_map<TermId, std::vector<size_t>> scalar_buckets_;
   std::vector<size_t> partial_;
 };

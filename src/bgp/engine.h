@@ -23,9 +23,17 @@ namespace sparqluo {
 /// Instrumentation counters filled during evaluation.
 struct BgpEvalCounters {
   uint64_t rows_materialized = 0;  ///< Partial + final bindings produced.
-  uint64_t index_probes = 0;       ///< Store scans issued.
-  uint64_t candidates_pruned = 0;  ///< Extensions rejected by candidate sets.
+  /// Store scans plus the per-candidate existence probes that replace them.
+  uint64_t index_probes = 0;
+  /// Index entries the candidate sets kept out of an evaluation: entries
+  /// of a probed range that no candidate reached, scanned adjacency values
+  /// a candidate filter dropped, and scanned matches a candidate set
+  /// rejected (hash-join scans, WCO residual patterns).
+  uint64_t candidates_pruned = 0;
   uint64_t morsels = 0;            ///< Morsel tasks run by parallel paths.
+  /// BGP evaluations whose WCO plan starts at a candidate-constrained
+  /// variable (the `seed` attribute of the `bgp` span).
+  uint64_t candidate_seeds = 0;
   /// Per-BGP engine decisions made by the adaptive engine (both stay 0
   /// under a fixed engine). The executor diffs these around each BGP to
   /// stamp the chosen engine on the BGP's trace span.
@@ -37,6 +45,7 @@ struct BgpEvalCounters {
     index_probes += other.index_probes;
     candidates_pruned += other.candidates_pruned;
     morsels += other.morsels;
+    candidate_seeds += other.candidate_seeds;
     wco_evals += other.wco_evals;
     hashjoin_evals += other.hashjoin_evals;
   }

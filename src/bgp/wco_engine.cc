@@ -3,9 +3,16 @@
 // Evaluation is split into:
 //   1. BuildPlan   — resolve constants, partition patterns, and fix the
 //                    vertex extension order. The order is a pure function
-//                    of the BGP and the store's counts, never of partial
-//                    binding contents, so every morsel follows it.
+//                    of the BGP, the store's counts and the candidate sets
+//                    (§6), never of partial binding contents, so every
+//                    morsel follows it. A candidate-constrained variable
+//                    competes for the first position on min(index count,
+//                    |candidates|).
 //   2. ExtendStep  — one vertex extension over a set of partial bindings.
+//                    A constrained variable's candidates drive the step:
+//                    a list far shorter than an edge's range is probed
+//                    against the index instead of scanning the range;
+//                    longer ones filter the scanned adjacency values.
 //   3. CompleteRows— the remaining extensions + core verification +
 //                    residual expansion for a subset of partial bindings.
 //                    Row-independent, hence safe to run per morsel.
@@ -16,7 +23,6 @@
 #include "bgp/wco_engine.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "obs/trace.h"
 
@@ -30,29 +36,82 @@ struct CoreEdge {
   ResolvedPattern r;
 };
 
-/// Collects the sorted, distinct values the variable `v` can take according
-/// to edge `e` given the values of the other positions in `fixed`, where
-/// kInvalidTermId in fixed means "that position is not yet bound".
-/// Returns the list through `out` (sorted ascending). `hint` carries the
-/// previous probe's level-1 position: consecutive rows probe with values
-/// drawn from sorted candidate lists, so the CSR directory lookup gallops
-/// from the last bucket instead of binary-searching from scratch.
-void AdjacencyList(const TripleStore& store, const CoreEdge& e, bool v_is_subj,
-                   TermId other_value, std::vector<TermId>* out,
-                   BgpEvalCounters* counters, TripleStore::ProbeHint* hint) {
-  TriplePatternIds q;
-  q.p = e.r.p;  // core edges have constant predicates
-  if (v_is_subj) {
-    q.o = other_value;
-  } else {
-    q.s = other_value;
+/// A core edge incident to the variable one extension step binds, resolved
+/// against the columns bound before that step.
+struct StepEdge {
+  TermId p = kInvalidTermId;
+  bool v_is_subj = true;   ///< The step's variable is the subject.
+  bool self_loop = false;  ///< ?v p ?v: both endpoints are the variable.
+  /// The other endpoint of an adjacent edge: a constant, or (other_col !=
+  /// SIZE_MAX) the column of a variable bound by an earlier step.
+  TermId other_const = kInvalidTermId;
+  size_t other_col = SIZE_MAX;
+  /// Plan-time index count of the projection (?, p, ?); open edges only.
+  size_t range = 0;
+
+  TermId Other(const std::vector<TermId>& row) const {
+    return other_col == SIZE_MAX ? other_const : row[other_col];
   }
-  if (counters) ++counters->index_probes;
-  const bool self_loop = e.r.sv != kInvalidVarId && e.r.sv == e.r.ov;
+
+  /// The range this edge's adjacency list scans for `row`: (?, p, other)
+  /// or (other, p, ?), or the projection (?, p, ?) for self-loops and open
+  /// edges.
+  TriplePatternIds Pattern(const std::vector<TermId>& row) const {
+    TriplePatternIds q;
+    q.p = p;
+    if (self_loop || (other_col == SIZE_MAX && other_const == kInvalidTermId))
+      return q;
+    (v_is_subj ? q.o : q.s) = Other(row);
+    return q;
+  }
+
+  /// The fully bound triple that holds iff `val` is adjacent over this
+  /// (adjacent) edge for `row`.
+  Triple With(TermId val, const std::vector<TermId>& row) const {
+    if (self_loop) return Triple(val, p, val);
+    return v_is_subj ? Triple(val, p, Other(row)) : Triple(Other(row), p, val);
+  }
+
+  /// The range of an open edge's triples incident to `val`.
+  TriplePatternIds Incident(TermId val) const {
+    TriplePatternIds q;
+    q.p = p;
+    (v_is_subj ? q.s : q.o) = val;
+    return q;
+  }
+};
+
+/// One existence probe (a directory gallop plus a level-2 binary search)
+/// costs about as much as scanning and filtering this many range entries,
+/// so a candidate list replaces a range scan only when it is this many
+/// times shorter.
+constexpr size_t kProbeCost = 8;
+
+/// The row-independent shape of one extension step.
+struct StepPlan {
+  /// Edges yielding an adjacency list per row: a constant or earlier-bound
+  /// other endpoint, or a self-loop. Their lists are intersected.
+  std::vector<StepEdge> adjacent;
+  /// Edges whose other endpoint binds later, in core order. Only a step
+  /// with no adjacent edge uses them, to seed itself (see SeedValues).
+  std::vector<StepEdge> open;
+  /// The variable's candidate set, when it has one.
+  const CandidateMap::Set* cand_set = nullptr;
+  /// The candidate set sorted ascending, built only when probing it can
+  /// beat scanning some edge's (expected) range. Otherwise the candidates
+  /// filter the scanned values by lookup.
+  bool probe_cands = false;
+  std::vector<TermId> sorted_cands;
+};
+
+/// Appends the values `range` yields for the step variable to `out`
+/// (sorted ascending, distinct).
+void ScanValues(const TripleStore::MatchedRange& range, const StepEdge& e,
+                std::vector<TermId>* out) {
   TermId last = kInvalidTermId;
-  store.Scan(q, hint, [&](const Triple& t) {
-    if (self_loop && t.s != t.o) return true;
-    TermId val = v_is_subj ? t.s : t.o;
+  TripleStore::ScanMatched(range, [&](const Triple& t) {
+    if (e.self_loop && t.s != t.o) return true;
+    TermId val = e.v_is_subj ? t.s : t.o;
     // POS/SPO range scans yield the free position in ascending order, so
     // dedup needs only the previous value.
     if (val != last) {
@@ -62,20 +121,22 @@ void AdjacencyList(const TripleStore& store, const CoreEdge& e, bool v_is_subj,
     return true;
   });
   // Scans through OSP (v subject, other=object bound) yield s sorted; scans
-  // through SPO with s bound yield o sorted; seed scans over POS(p) yield
-  // (o, s) pairs, so the projection may be unsorted. Normalize.
+  // through SPO with s bound yield o sorted; projection scans over POS(p)
+  // yield (o, s) pairs, so the subject projection may be unsorted.
   if (!std::is_sorted(out->begin(), out->end())) {
     std::sort(out->begin(), out->end());
     out->erase(std::unique(out->begin(), out->end()), out->end());
   }
 }
 
-void IntersectSorted(std::vector<TermId>* a, const std::vector<TermId>& b) {
-  std::vector<TermId> out;
-  out.reserve(std::min(a->size(), b.size()));
-  std::set_intersection(a->begin(), a->end(), b.begin(), b.end(),
-                        std::back_inserter(out));
-  *a = std::move(out);
+/// Appends the values of `list` that `cands` admits to `out`, counting the
+/// others as pruned.
+void KeepCandidates(const std::vector<TermId>& list,
+                    const CandidateMap::Set& cands, std::vector<TermId>* out,
+                    BgpEvalCounters* counters) {
+  for (TermId val : list)
+    if (cands.count(val) != 0) out->push_back(val);
+  if (counters) counters->candidates_pruned += list.size() - out->size();
 }
 
 using Rows = std::vector<std::vector<TermId>>;
@@ -86,6 +147,8 @@ struct WcoPlan {
   std::vector<ResolvedPattern> residual;
   /// Core extension order (covers every core variable).
   std::vector<VarId> var_order;
+  /// One entry per var_order position.
+  std::vector<StepPlan> steps;
   /// Variables each residual pattern newly binds, in pattern order.
   std::vector<std::vector<VarId>> residual_new;
   /// var_order followed by all residual_new entries: the column layout of
@@ -103,8 +166,11 @@ size_t IndexOf(const std::vector<VarId>& vars, VarId v) {
 
 /// Resolves and partitions the BGP and fixes the extension order by
 /// replaying the greedy next-variable choice over the simulated bound set.
+/// The plan is a pure function of the BGP, the store's counts and the
+/// candidate sets, so every morsel of a parallel evaluation follows it.
 WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
-                  const Dictionary& dict) {
+                  const Dictionary& dict, const Statistics& stats,
+                  const CandidateMap* cands) {
   WcoPlan plan;
   for (const TriplePattern& t : bgp.triples) {
     ResolvedPattern r = Resolve(t, dict);
@@ -135,8 +201,13 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
         core_vars.push_back(v);
   }
 
+  auto cand_set = [&](VarId v) -> const CandidateMap::Set* {
+    return cands != nullptr ? cands->Get(v) : nullptr;
+  };
+
   // Estimated seed size of a variable: min over incident edges of the edge's
-  // match count with constants bound (cheap index counts).
+  // match count with constants bound (cheap index counts), and of the size
+  // of its candidate list.
   auto seed_count = [&](VarId v) -> double {
     double best = 1e300;
     for (const CoreEdge& e : plan.core) {
@@ -147,6 +218,8 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
       if (e.r.ov == kInvalidVarId) q.o = e.r.o;
       best = std::min(best, static_cast<double>(store.Count(q)));
     }
+    if (const CandidateMap::Set* cs = cand_set(v))
+      best = std::min(best, static_cast<double>(cs->size()));
     return best;
   };
 
@@ -160,15 +233,16 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
       if (IndexOf(plan.var_order, v) != SIZE_MAX) continue;
       // v is "adjacent" if some incident edge has a constant or already
       // bound other endpoint — its extension can use an indexed adjacency
-      // list instead of a projection seed.
-      bool adjacent = false;
+      // list instead of a projection seed. For the first position a
+      // candidate list serves as well as such a list.
+      bool adjacent = plan.var_order.empty() && cand_set(v) != nullptr;
       for (const CoreEdge& e : plan.core) {
+        if (adjacent) break;
         if (e.r.sv != v && e.r.ov != v) continue;
         VarId other = e.r.sv == v ? e.r.ov : e.r.sv;
-        if (other == kInvalidVarId || IndexOf(plan.var_order, other) != SIZE_MAX) {
+        if (other == kInvalidVarId ||
+            IndexOf(plan.var_order, other) != SIZE_MAX)
           adjacent = true;
-          break;
-        }
       }
       double score = seed_count(v);
       if (next == kInvalidVarId || (adjacent && !next_adjacent) ||
@@ -179,6 +253,58 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
       }
     }
     plan.var_order.push_back(next);
+  }
+
+  // Resolve each step's incident edges against the columns bound before it.
+  for (size_t k = 0; k < plan.var_order.size(); ++k) {
+    const VarId var = plan.var_order[k];
+    StepPlan st;
+    // The longest range a step edge is expected to yield per row: exact
+    // for constant and projection ranges, the predicate's average fan for
+    // a bound neighbour.
+    double max_range = 0.0;
+    for (const CoreEdge& e : plan.core) {
+      if (e.r.sv != var && e.r.ov != var) continue;
+      StepEdge se;
+      se.p = e.r.p;
+      se.v_is_subj = e.r.sv == var;
+      se.self_loop = e.r.sv == var && e.r.ov == var;
+      VarId other = se.v_is_subj ? e.r.ov : e.r.sv;
+      size_t col = IndexOf(plan.var_order, other);
+      TriplePatternIds projection;
+      projection.p = e.r.p;
+      double expected;
+      if (se.self_loop) {
+        expected = static_cast<double>(store.Count(projection));
+        st.adjacent.push_back(se);
+      } else if (other == kInvalidVarId) {
+        se.other_const = se.v_is_subj ? e.r.o : e.r.s;
+        expected = static_cast<double>(store.Count(se.Pattern({})));
+        st.adjacent.push_back(se);
+      } else if (col < k) {
+        se.other_col = col;
+        const PredicateStats& ps = stats.ForPredicate(e.r.p);
+        expected = se.v_is_subj ? ps.avg_in() : ps.avg_out();
+        st.adjacent.push_back(se);
+      } else {
+        se.range = store.Count(projection);
+        expected = static_cast<double>(se.range);
+        st.open.push_back(se);
+      }
+      max_range = std::max(max_range, expected);
+    }
+    st.cand_set = cand_set(var);
+    if (st.cand_set != nullptr &&
+        static_cast<double>(st.cand_set->size() * kProbeCost) < max_range) {
+      st.probe_cands = true;
+      st.sorted_cands.assign(st.cand_set->begin(), st.cand_set->end());
+      // The unbound marker is never a stored value (nor a valid probe key).
+      st.sorted_cands.erase(std::remove(st.sorted_cands.begin(),
+                                        st.sorted_cands.end(), kInvalidTermId),
+                            st.sorted_cands.end());
+      std::sort(st.sorted_cands.begin(), st.sorted_cands.end());
+    }
+    plan.steps.push_back(std::move(st));
   }
 
   // Residual patterns bind their not-yet-bound variables in pattern order.
@@ -195,123 +321,122 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
   return plan;
 }
 
+/// The values of a step with no adjacent edge — the seed step, or a
+/// variable disconnected from everything bound before it — which do not
+/// depend on the row. A constrained variable whose candidate list is
+/// kProbeCost times shorter than some open edge's projection gets one
+/// existence probe per candidate per such edge; otherwise the first open
+/// edge's projection seeds the step, filtered by the candidates when there
+/// are any.
+void SeedValues(const TripleStore& store, const StepPlan& st,
+                BgpEvalCounters* counters, TripleStore::ProbeHint* hint,
+                std::vector<TermId>* out) {
+  out->clear();
+  std::vector<const StepEdge*> probed;
+  if (st.probe_cands)
+    for (const StepEdge& e : st.open)
+      if (st.sorted_cands.size() * kProbeCost < e.range) probed.push_back(&e);
+  if (!probed.empty()) {
+    // Candidates come sorted, so the probes gallop through the directory.
+    size_t reached = 0;  // entries of the first probed edge the list hits
+    for (TermId val : st.sorted_cands) {
+      bool ok = true;
+      for (size_t i = 0; i < probed.size() && ok; ++i) {
+        if (counters) ++counters->index_probes;
+        size_t n = store.Count(probed[i]->Incident(val), hint);
+        if (i == 0) reached += n;
+        ok = n > 0;
+      }
+      if (ok) out->push_back(val);
+    }
+    if (counters) counters->candidates_pruned += probed[0]->range - reached;
+    return;
+  }
+  const StepEdge& e = st.open.front();
+  if (counters) ++counters->index_probes;
+  if (st.cand_set == nullptr) {
+    ScanValues(store.Match(e.Pattern({}), hint), e, out);
+    return;
+  }
+  std::vector<TermId> projection;
+  ScanValues(store.Match(e.Pattern({}), hint), e, &projection);
+  KeepCandidates(projection, *st.cand_set, out, counters);
+}
+
+/// The values of a step with adjacent edges for one row: the intersection
+/// of every adjacent edge's adjacency list, restricted to the candidates
+/// when the variable is constrained. While that candidate-derived list is
+/// kProbeCost times shorter than an edge's range (from the first edge on,
+/// when the sorted candidate list exists), each of its values gets one
+/// existence probe instead of a scan of the range. Leaves the result in
+/// `out`; `work` and `edge_list` are reused buffers.
+void AdjacentValues(const TripleStore& store, const StepPlan& st,
+                    const std::vector<TermId>& row, BgpEvalCounters* counters,
+                    TripleStore::ProbeHint* hint, std::vector<TermId>* out,
+                    std::vector<TermId>* work,
+                    std::vector<TermId>* edge_list) {
+  bool have = false;  // `out` holds the running list
+  for (const StepEdge& e : st.adjacent) {
+    TripleStore::MatchedRange range = store.Match(e.Pattern(row), hint);
+    if (counters) ++counters->index_probes;
+    work->clear();
+    const std::vector<TermId>* probe_list = nullptr;
+    if (st.cand_set != nullptr) {
+      if (have) {
+        probe_list = out;
+      } else if (st.probe_cands) {
+        probe_list = &st.sorted_cands;
+      }
+      if (probe_list != nullptr &&
+          probe_list->size() * kProbeCost >= range.size())
+        probe_list = nullptr;
+    }
+    if (probe_list != nullptr) {
+      for (TermId val : *probe_list) {
+        if (counters) ++counters->index_probes;
+        if (store.Contains(e.With(val, row), hint)) work->push_back(val);
+      }
+      if (counters)
+        counters->candidates_pruned += range.size() - work->size();
+    } else {
+      edge_list->clear();
+      ScanValues(range, e, edge_list);
+      if (have) {
+        std::set_intersection(out->begin(), out->end(), edge_list->begin(),
+                              edge_list->end(), std::back_inserter(*work));
+        if (counters && st.cand_set != nullptr)
+          counters->candidates_pruned += edge_list->size() - work->size();
+      } else if (st.cand_set != nullptr) {
+        KeepCandidates(*edge_list, *st.cand_set, work, counters);
+      } else {
+        std::swap(*work, *edge_list);
+      }
+    }
+    std::swap(*out, *work);
+    have = true;
+    if (out->empty()) return;
+  }
+}
+
 /// Extends every partial binding in `rows` (columns = plan.var_order[0..step))
 /// with plan.var_order[step]. The per-row logic is independent across rows.
 Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
-                const Rows& rows, const CandidateMap* cands,
-                BgpEvalCounters* counters, CancelCheckpoint& chk,
-                TripleStore::ProbeHint* hint) {
-  const VarId next = plan.var_order[step];
-  auto col_of = [&](VarId v) -> size_t {
-    for (size_t i = 0; i < step; ++i)
-      if (plan.var_order[i] == v) return i;
-    return SIZE_MAX;
-  };
-  const CandidateMap::Set* cand_set =
-      cands != nullptr ? cands->Get(next) : nullptr;
+                const Rows& rows, BgpEvalCounters* counters,
+                CancelCheckpoint& chk, TripleStore::ProbeHint* hint) {
+  const StepPlan& st = plan.steps[step];
   Rows next_rows;
-  std::vector<TermId> cand_list;
+  std::vector<TermId> values;
+  std::vector<TermId> work;
   std::vector<TermId> edge_list;
+  const bool row_independent = st.adjacent.empty();
+  if (row_independent && !rows.empty())
+    SeedValues(store, st, counters, hint, &values);
   for (const auto& row : rows) {
     chk.Poll();
-    cand_list.clear();
-    bool first_edge = true;
-    bool dead = false;
-    // Edges incident to `next` whose other endpoint is bound or constant
-    // contribute an adjacency list; intersect them all.
-    for (const CoreEdge& e : plan.core) {
-      bool v_is_subj;
-      if (e.r.sv == next && e.r.ov == next) {
-        v_is_subj = true;  // self-loop handled inside AdjacencyList
-      } else if (e.r.sv == next) {
-        v_is_subj = true;
-      } else if (e.r.ov == next) {
-        v_is_subj = false;
-      } else {
-        continue;
-      }
-      // Resolve the other endpoint.
-      TermId other;
-      if (e.r.sv == next && e.r.ov == next) {
-        other = kInvalidTermId;
-      } else if (v_is_subj) {
-        other = e.r.ov == kInvalidVarId
-                    ? e.r.o
-                    : (col_of(e.r.ov) == SIZE_MAX ? kInvalidTermId
-                                                  : row[col_of(e.r.ov)]);
-      } else {
-        other = e.r.sv == kInvalidVarId
-                    ? e.r.s
-                    : (col_of(e.r.sv) == SIZE_MAX ? kInvalidTermId
-                                                  : row[col_of(e.r.sv)]);
-      }
-      bool other_is_unbound_var =
-          (v_is_subj ? e.r.ov != kInvalidVarId && col_of(e.r.ov) == SIZE_MAX
-                     : e.r.sv != kInvalidVarId && col_of(e.r.sv) == SIZE_MAX) &&
-          !(e.r.sv == next && e.r.ov == next);
-      if (other_is_unbound_var && !first_edge) {
-        // Defer: this edge will constrain when its other endpoint binds.
-        continue;
-      }
-      if (other_is_unbound_var && first_edge) {
-        // Use the projection as a (sound) seed only if no better edge
-        // exists; check whether any other incident edge has a bound
-        // endpoint — if so, skip this one.
-        bool better_exists = false;
-        for (const CoreEdge& e2 : plan.core) {
-          if (&e2 == &e) continue;
-          if (e2.r.sv != next && e2.r.ov != next) continue;
-          bool e2_subj = e2.r.sv == next;
-          bool e2_other_unbound =
-              (e2_subj ? e2.r.ov != kInvalidVarId && col_of(e2.r.ov) == SIZE_MAX
-                       : e2.r.sv != kInvalidVarId && col_of(e2.r.sv) == SIZE_MAX);
-          if (!e2_other_unbound) {
-            better_exists = true;
-            break;
-          }
-        }
-        if (better_exists) continue;
-      }
-      edge_list.clear();
-      AdjacencyList(store, e, v_is_subj, other, &edge_list, counters, hint);
-      if (first_edge) {
-        cand_list = edge_list;
-        first_edge = false;
-      } else {
-        IntersectSorted(&cand_list, edge_list);
-      }
-      if (cand_list.empty()) {
-        dead = true;
-        break;
-      }
-      if (other_is_unbound_var) break;  // projection seed: one edge only
-    }
-    if (dead || first_edge) {
-      // first_edge still true means no incident edge could seed this
-      // variable for this row: disconnected from current bindings. Seed
-      // from the globally cheapest incident edge projection.
-      if (first_edge && !dead) {
-        for (const CoreEdge& e : plan.core) {
-          if (e.r.sv != next && e.r.ov != next) continue;
-          edge_list.clear();
-          AdjacencyList(store, e, e.r.sv == next, kInvalidTermId, &edge_list,
-                        counters, hint);
-          if (cand_list.empty()) {
-            cand_list = edge_list;
-          } else {
-            IntersectSorted(&cand_list, edge_list);
-          }
-          break;
-        }
-      } else if (dead) {
-        continue;
-      }
-    }
-    for (TermId val : cand_list) {
-      if (cand_set != nullptr && cand_set->count(val) == 0) {
-        if (counters) ++counters->candidates_pruned;
-        continue;
-      }
+    if (!row_independent)
+      AdjacentValues(store, st, row, counters, hint, &values, &work,
+                     &edge_list);
+    for (TermId val : values) {
       std::vector<TermId> nrow = row;
       nrow.push_back(val);
       next_rows.push_back(std::move(nrow));
@@ -333,7 +458,7 @@ Rows CompleteRows(const TripleStore& store, const WcoPlan& plan,
   // level-1 buckets and the galloping lookup pays O(1) amortized.
   TripleStore::ProbeHint hint;
   for (size_t step = first_step; step < plan.var_order.size(); ++step) {
-    rows = ExtendStep(store, plan, step, rows, cands, counters, chk, &hint);
+    rows = ExtendStep(store, plan, step, rows, counters, chk, &hint);
     if (rows.empty()) return rows;
   }
 
@@ -451,8 +576,10 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
+  if (counters && !plan.steps.empty() && plan.steps[0].cand_set != nullptr)
+    ++counters->candidate_seeds;
   Rows rows{{}};  // one empty partial binding
   rows = CompleteRows(store_, plan, 0, std::move(rows), cands, counters, cancel);
   return EmitRows(std::move(rows), plan, all_vars);
@@ -471,8 +598,10 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   }
   CancelCheckpoint chk(cancel);
   chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_);
+  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
   if (plan.definitely_empty) return BindingSet(all_vars);
+  if (counters && !plan.steps.empty() && plan.steps[0].cand_set != nullptr)
+    ++counters->candidate_seeds;
 
   // Seed step: bind the first core variable sequentially (one index scan),
   // producing the partial bindings the morsels partition.
@@ -480,7 +609,7 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
   size_t first_step = 0;
   if (!plan.var_order.empty()) {
     TripleStore::ProbeHint seed_hint;
-    rows = ExtendStep(store_, plan, 0, rows, cands, counters, chk, &seed_hint);
+    rows = ExtendStep(store_, plan, 0, rows, counters, chk, &seed_hint);
     first_step = 1;
     if (rows.empty()) return BindingSet(all_vars);
   }

@@ -3,9 +3,11 @@
 // Evaluation proceeds vertex-at-a-time over the query graph: each step picks
 // the next variable and, for every partial binding, intersects the adjacency
 // lists of all already-bound neighbors to produce the variable's matches
-// (Section 5.1.2). Candidate pruning sets restrict the values a variable may
-// take before any intersection result is materialized — which is what makes
-// the CP optimization effective on this engine.
+// (Section 5.1.2). Candidate pruning sets (§6) drive the extension: a
+// constrained variable may seed the order, and a candidate list far shorter
+// than an index range replaces the scan with one existence probe per
+// candidate, so the entries the candidates exclude are never read. Longer
+// lists filter the scanned adjacency values.
 #pragma once
 
 #include "bgp/engine.h"

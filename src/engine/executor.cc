@@ -155,6 +155,10 @@ class TreeEvaluator {
     bgp_span.Attr("patterns", std::to_string(bgp.triples.size()));
     bgp_span.Attr("rows", std::to_string(res.size()));
     bgp_span.Attr("pruned", cands_ptr != nullptr ? "true" : "false");
+    // Whether the engine's plan started at a candidate-constrained variable
+    // (WCO only; candidates then probe or filter the seed step).
+    bgp_span.Attr("seed",
+                  counters.candidate_seeds > 0 ? "candidates" : "index");
     // The engine that evaluated this BGP: under the adaptive engine the
     // per-BGP decision counters say which host engine was delegated to
     // (counters are fresh per BGP, so a nonzero count is this BGP's

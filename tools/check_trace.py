@@ -6,10 +6,12 @@ Checks:
 1. The file parses as JSON with a `traceEvents` array of complete
    events (`"ph": "X"`) carrying name/ts/dur/pid/tid.
 2. Per pid (one pid per traced query): exactly one root `query` span,
-   and the expected lifecycle phases underneath it — `eval` and
-   `serialize` always; `parse` and `plan` whenever the query was not a
-   plan-cache hit (root carries a `cache_hit` arg written by the
-   engine).
+   and the expected lifecycle phases underneath it. An executed query
+   needs `queue_wait`, `eval` and `serialize`, plus `parse` and `plan`
+   whenever it was not a plan-cache hit (root arg `cache_hit`). A query
+   answered without executing — root arg `result_cache_hit` or
+   `deduped` — needs `queue_wait` and `result_cache_lookup` only (a
+   deduped follower also `dedup_wait`).
 3. Containment — every event nests inside the query span of its pid
    (start >= query start, end <= query end, small clock slop allowed).
 
@@ -20,6 +22,11 @@ import json
 import sys
 
 SLOP_US = 5  # steady_clock reads on different threads; keep a tiny margin
+
+
+def root_flag(root, key):
+    """True iff the root span carries the boolean arg `key` = "true"."""
+    return str(root.get("args", {}).get(key, "")) == "true"
 
 
 def main():
@@ -72,15 +79,23 @@ def main():
             continue
         root = roots[0]
         names = {e["name"] for e in evs}
-        cache_hit = str(root.get("args", {}).get("cache_hit", "")) == "true"
-        required = {"eval", "serialize", "queue_wait"}
-        if not cache_hit:
-            required |= {"parse", "plan"}
+        cache_hit = root_flag(root, "cache_hit")
+        if root_flag(root, "result_cache_hit") or root_flag(root, "deduped"):
+            kind = ("result_cache_hit" if root_flag(root, "result_cache_hit")
+                    else "deduped")
+            required = {"queue_wait", "result_cache_lookup"}
+            if kind == "deduped":
+                required.add("dedup_wait")
+        else:
+            kind = f"executed, cache_hit={cache_hit}"
+            required = {"eval", "serialize", "queue_wait"}
+            if not cache_hit:
+                required |= {"parse", "plan"}
         missing = required - names
         if missing:
             errors.append(
                 f"{path}: pid {pid}: missing phase spans {sorted(missing)} "
-                f"(cache_hit={cache_hit}, have {sorted(names)})")
+                f"({kind}, have {sorted(names)})")
         q_start, q_end = root["ts"], root["ts"] + root["dur"]
         for e in evs:
             if e is root:
