@@ -1,6 +1,7 @@
 #include "algebra/operators.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <optional>
 #include <unordered_map>
@@ -46,8 +47,8 @@ uint64_t HashKey(const TermId* row,
 /// key it by a hash of the values; a probe re-checks each bucket row, so
 /// hash collisions cost a comparison, never a wrong match.
 /// An explicit [b_begin, b_end) restricts the indexed b-rows, which is how
-/// ParallelJoin shards one hash build across workers; reported row indices
-/// are absolute either way.
+/// Join shards one hash build across workers; reported row indices are
+/// absolute either way, and the full range is the one-shard build.
 class CompatFinder {
  public:
   CompatFinder(const BindingSet& a, const BindingSet& b, size_t b_begin = 0,
@@ -179,10 +180,9 @@ std::vector<size_t> ExtraCols(const BindingSet& a, const BindingSet& b) {
 }  // namespace
 
 BindingSet Join(const BindingSet& a, const BindingSet& b,
-                const CancelToken* cancel) {
-  CancelCheckpoint chk(cancel);
-  std::vector<VarId> schema = MergedSchema(a, b);
-  BindingSet out(std::move(schema));
+                const CancelToken* cancel, const ParallelSpec& spec,
+                uint64_t* morsels) {
+  BindingSet out(MergedSchema(a, b));
   if (a.empty() || b.empty()) return out;
   if (out.width() == 0) {
     // Join of zero-width bags: |a| * |b| empty mappings.
@@ -190,87 +190,68 @@ BindingSet Join(const BindingSet& a, const BindingSet& b,
     return out;
   }
   std::vector<size_t> extra = ExtraCols(a, b);
-  std::vector<TermId> row(out.width());
   // Degenerate widths: a zero-width side contributes only multiplicity.
-  if (a.width() == 0) {
+  if (a.width() == 0 || b.width() == 0) {
+    CancelCheckpoint chk(cancel);
+    std::vector<TermId> row(out.width());
     for (size_t ra = 0; ra < a.size(); ++ra)
       for (size_t rb = 0; rb < b.size(); ++rb) {
         chk.Poll();
-        for (size_t i = 0; i < extra.size(); ++i) row[i] = b.At(rb, extra[i]);
+        if (a.width() == 0) {
+          for (size_t i = 0; i < extra.size(); ++i) row[i] = b.At(rb, extra[i]);
+        } else {
+          for (size_t c = 0; c < a.width(); ++c) row[c] = a.At(ra, c);
+        }
         out.AppendRow(row);
       }
     return out;
   }
-  if (b.width() == 0) {
-    for (size_t ra = 0; ra < a.size(); ++ra)
-      for (size_t rb = 0; rb < b.size(); ++rb) {
-        chk.Poll();
-        for (size_t c = 0; c < a.width(); ++c) row[c] = a.At(ra, c);
-        out.AppendRow(row);
-      }
-    return out;
-  }
-  // Hash the smaller side, probe with the larger: the build cost dominates
-  // (vector-keyed buckets), and either orientation yields the same bag.
-  std::vector<std::pair<size_t, size_t>> common_ab;
-  for (size_t i = 0; i < a.schema().size(); ++i) {
-    size_t j = b.ColumnOf(a.schema()[i]);
-    if (j != SIZE_MAX) common_ab.emplace_back(i, j);
-  }
-  if (a.size() <= b.size()) {
-    // Build on a: iterate b, look up compatible a-rows.
-    CompatFinder finder(b, a);
-    for (size_t rb = 0; rb < b.size(); ++rb) {
-      chk.Poll();
-      finder.ForEachCompatible(rb, [&](size_t ra) {
-        chk.Poll();
-        MergeRows(a, ra, b, rb, common_ab, extra, &row);
-        out.AppendRow(row);
-      });
-    }
-  } else {
-    CompatFinder finder(a, b);
-    for (size_t ra = 0; ra < a.size(); ++ra) {
-      chk.Poll();
-      finder.ForEachCompatible(ra, [&](size_t rb) {
-        chk.Poll();
-        MergeRows(a, ra, b, rb, common_ab, extra, &row);
-        out.AppendRow(row);
-      });
-    }
-  }
-  return out;
-}
 
-BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
-                        const CancelToken* cancel, const ParallelSpec& spec,
-                        uint64_t* morsels) {
-  // Degenerate shapes (empty inputs, zero-width sides) take cheap special
-  // paths inside Join; only the hash-probe loop is worth fanning out.
-  if (!spec.enabled() || a.empty() || b.empty() || a.width() == 0 ||
-      b.width() == 0 || a.size() + b.size() <= spec.morsel_size)
-    return Join(a, b, cancel);
-
-  // Same orientation rule as Join — build on the smaller side, stream the
-  // larger — so the output row order matches the sequential join exactly.
+  // Hash the smaller side, probe with the larger: the build cost dominates,
+  // and either orientation yields the same bag. Every spec keeps this
+  // orientation, so every spec yields the same row order.
   const bool stream_is_b = a.size() <= b.size();
   const BindingSet& stream = stream_is_b ? b : a;
   const BindingSet& build = stream_is_b ? a : b;
-
-  std::vector<VarId> schema = MergedSchema(a, b);
   std::vector<std::pair<size_t, size_t>> common_ab;
   for (size_t i = 0; i < a.schema().size(); ++i) {
     size_t j = b.ColumnOf(a.schema()[i]);
     if (j != SIZE_MAX) common_ab.emplace_back(i, j);
   }
-  std::vector<size_t> extra = ExtraCols(a, b);
+  // Probes streamed rows [begin, end) into `dst` against `finders`, which
+  // point at CompatFinders over consecutive build-row slices.
+  auto probe = [&](const auto& finders, size_t begin, size_t end,
+                   BindingSet* dst) {
+    CancelCheckpoint chk(cancel);
+    std::vector<TermId> row(dst->width());
+    for (size_t si = begin; si < end; ++si) {
+      chk.Poll();
+      for (const auto& finder : finders) {
+        finder->ForEachCompatible(si, [&](size_t bi) {
+          chk.Poll();
+          size_t ra = stream_is_b ? bi : si;
+          size_t rb = stream_is_b ? si : bi;
+          MergeRows(a, ra, b, rb, common_ab, extra, &row);
+          dst->AppendRow(row);
+        });
+      }
+    }
+  };
+  // Small inputs are not worth fanning out.
+  if (!spec.enabled() || a.size() + b.size() <= spec.morsel_size) {
+    // Sequential: one full-range finder and one morsel, emitting straight
+    // into `out`.
+    CompatFinder finder(stream, build);
+    probe(std::array<const CompatFinder*, 1>{&finder}, 0, stream.size(), &out);
+    return out;
+  }
 
-  // Parallel hash build: shard the build side into contiguous row slices,
+  // Sharded hash build: the build side splits into contiguous row slices,
   // each indexed by its own CompatFinder. A probe walks the shards in slice
   // order, so matches surface in ascending build-row order — exactly the
-  // single-finder bucket order — as long as no build row carries an unbound
+  // one-finder bucket order — as long as no build row carries an unbound
   // join-key cell (those are emitted after bucket matches, which sharding
-  // would interleave). Detect that case and collapse to one shard.
+  // would interleave). That case collapses to one shard.
   bool build_has_unbound = false;
   for (size_t r = 0; r < build.size() && !build_has_unbound; ++r)
     for (const auto& [ca, cb] : common_ab) {
@@ -294,38 +275,23 @@ BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
 
   // Morsel-parallel probe of the streamed side. Each morsel emits into its
   // own BindingSet; concatenating them in morsel order reproduces the
-  // sequential probe order.
+  // one-morsel probe order.
   size_t num_morsels = spec.MorselCount(stream.size());
   size_t morsel_rows = (stream.size() + num_morsels - 1) / num_morsels;
-  std::vector<BindingSet> outs(num_morsels, BindingSet(schema));
+  std::vector<BindingSet> outs(num_morsels, BindingSet(out.schema()));
   spec.pool->ParallelFor(num_morsels, spec.EffectiveWorkers(), [&](size_t m) {
-    CancelCheckpoint chk(cancel);
-    BindingSet& out = outs[m];
-    std::vector<TermId> row(schema.size());
     size_t begin = m * morsel_rows;
-    size_t end = std::min(begin + morsel_rows, stream.size());
-    for (size_t si = begin; si < end; ++si) {
-      chk.Poll();
-      for (const auto& shard : shards) {
-        shard->ForEachCompatible(si, [&](size_t bi) {
-          chk.Poll();
-          size_t ra = stream_is_b ? bi : si;
-          size_t rb = stream_is_b ? si : bi;
-          MergeRows(a, ra, b, rb, common_ab, extra, &row);
-          out.AppendRow(row);
-        });
-      }
-    }
+    probe(shards, begin, std::min(begin + morsel_rows, stream.size()),
+          &outs[m]);
   });
   if (morsels != nullptr)
     *morsels += num_morsels + (num_shards > 1 ? num_shards : 0);
 
-  BindingSet result(std::move(schema));
   size_t total = 0;
-  for (const BindingSet& out : outs) total += out.size();
-  result.Reserve(total);
-  for (const BindingSet& out : outs) result.Append(out);
-  return result;
+  for (const BindingSet& o : outs) total += o.size();
+  out.Reserve(total);
+  for (const BindingSet& o : outs) out.Append(o);
+  return out;
 }
 
 BindingSet UnionBag(const BindingSet& a, const BindingSet& b) {

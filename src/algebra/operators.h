@@ -15,21 +15,17 @@ namespace sparqluo {
 
 /// Ω1 ⋈ Ω2 = { µ1 ∪ µ2 | µ1 ∈ Ω1, µ2 ∈ Ω2, µ1 ~ µ2 }.
 ///
-/// `cancel` (nullable) is polled per emitted row: join output can be
-/// |Ω1|·|Ω2|, so without a checkpoint here a join-dominated query could
-/// overshoot its deadline without bound.
+/// A hash build over the smaller side and a probe of the larger. `spec`
+/// shards the build across `spec.pool` and probes in morsels whose outputs
+/// concatenate in morsel order; the default spec (no pool, or parallelism
+/// 1) is the one-shard, one-morsel case, run inline. Schema and row order
+/// are the same for every spec. `cancel` (nullable) is polled per emitted
+/// row: join output can be |Ω1|·|Ω2|, so without a checkpoint here a
+/// join-dominated query could overshoot its deadline without bound.
+/// `morsels` (nullable) accumulates the number of parallel tasks issued.
 BindingSet Join(const BindingSet& a, const BindingSet& b,
-                const CancelToken* cancel = nullptr);
-
-/// Join with output bit-identical to Join (same schema, same row order),
-/// computed morsel-parallel on `spec.pool`: the hash build over the smaller
-/// side is sharded across workers and the larger side is probed in
-/// independent morsels whose outputs concatenate in morsel order. Falls
-/// back to Join for degenerate shapes or a disabled spec. `morsels`
-/// (nullable) accumulates the number of parallel tasks issued.
-BindingSet ParallelJoin(const BindingSet& a, const BindingSet& b,
-                        const CancelToken* cancel, const ParallelSpec& spec,
-                        uint64_t* morsels = nullptr);
+                const CancelToken* cancel = nullptr,
+                const ParallelSpec& spec = {}, uint64_t* morsels = nullptr);
 
 /// Ω1 ∪_bag Ω2 over the union schema (missing columns padded unbound).
 BindingSet UnionBag(const BindingSet& a, const BindingSet& b);

@@ -31,20 +31,14 @@ class AdaptiveEngine : public BgpEngine {
                  const Statistics& stats)
       : wco_(store, dict, stats), hashjoin_(store, dict, stats) {}
 
+  using BgpEngine::Evaluate;  // the convenience overloads
+
   const char* name() const override { return "Adaptive"; }
 
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters,
-                      const CancelToken* cancel) const override {
-    return Pick(bgp, counters).Evaluate(bgp, cands, counters, cancel);
-  }
-
-  BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                              BgpEvalCounters* counters,
-                              const CancelToken* cancel,
-                              const ParallelSpec& spec) const override {
-    return Pick(bgp, counters).ParallelEvaluate(bgp, cands, counters, cancel,
-                                                spec);
+                      BgpEvalCounters* counters, const CancelToken* cancel,
+                      const ParallelSpec& spec) const override {
+    return Pick(bgp, counters).Evaluate(bgp, cands, counters, cancel, spec);
   }
 
   /// The cost the engine will actually pay: the cheaper of the two models.

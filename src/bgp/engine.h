@@ -23,14 +23,16 @@ namespace sparqluo {
 /// Instrumentation counters filled during evaluation.
 struct BgpEvalCounters {
   uint64_t rows_materialized = 0;  ///< Partial + final bindings produced.
-  /// Store scans plus the per-candidate existence probes that replace them.
+  /// Store scans plus the existence probes that replace them: one per
+  /// candidate, and one per value a WCO step checks against a self-loop.
   uint64_t index_probes = 0;
   /// Index entries the candidate sets kept out of an evaluation: entries
   /// of a probed range that no candidate reached, scanned adjacency values
   /// a candidate filter dropped, and scanned matches a candidate set
   /// rejected (hash-join scans, WCO residual patterns).
   uint64_t candidates_pruned = 0;
-  uint64_t morsels = 0;            ///< Morsel tasks run by parallel paths.
+  /// Morsel tasks run; 0 under a sequential ParallelSpec.
+  uint64_t morsels = 0;
   /// BGP evaluations whose WCO plan starts at a candidate-constrained
   /// variable (the `seed` attribute of the `bgp` span).
   uint64_t candidate_seeds = 0;
@@ -63,30 +65,24 @@ class BgpEngine {
   /// candidate set only take values from it. `counters` (nullable) collects
   /// instrumentation. `cancel` (nullable) is polled at evaluation
   /// checkpoints; a fired token aborts with a CancelledError that the
-  /// Executor converts to a ResourceExhausted status.
+  /// Executor converts to a ResourceExhausted status. `spec` fans heavy
+  /// per-row work out over `spec.pool` in morsels; the default spec (no
+  /// pool, or parallelism 1) is sequential evaluation — one worker draining
+  /// every morsel. The result (schema and row order) is bit-identical for
+  /// every spec.
   virtual BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
                               BgpEvalCounters* counters,
-                              const CancelToken* cancel) const = 0;
+                              const CancelToken* cancel,
+                              const ParallelSpec& spec) const = 0;
 
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters) const {
-    return Evaluate(bgp, cands, counters, nullptr);
+                      BgpEvalCounters* counters,
+                      const CancelToken* cancel = nullptr) const {
+    return Evaluate(bgp, cands, counters, cancel, ParallelSpec{});
   }
 
   BindingSet Evaluate(const Bgp& bgp) const {
-    return Evaluate(bgp, nullptr, nullptr, nullptr);
-  }
-
-  /// Morsel-driven evaluation: identical contract and bit-identical result
-  /// (schema and row order) to Evaluate, but heavy per-row work is fanned
-  /// out over `spec.pool`. Engines without a parallel path fall back to the
-  /// sequential Evaluate, as does a disabled spec.
-  virtual BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                                      BgpEvalCounters* counters,
-                                      const CancelToken* cancel,
-                                      const ParallelSpec& spec) const {
-    (void)spec;
-    return Evaluate(bgp, cands, counters, cancel);
+    return Evaluate(bgp, nullptr, nullptr);
   }
 
   /// cost(P): estimated evaluation cost of the BGP under this engine's join

@@ -20,39 +20,29 @@ class HashJoinEngine : public BgpEngine {
       : store_(store), dict_(dict), stats_(stats),
         estimator_(store, dict, stats) {}
 
+  using BgpEngine::Evaluate;  // the convenience overloads
+
   const char* name() const override { return "Jena-HashJoin"; }
 
+  /// Pattern scans are partitioned over the store's sorted index ranges and
+  /// each binary join runs as a sharded hash build plus a morsel probe
+  /// (Join with `spec`). Per-morsel tables concatenate in morsel order, so
+  /// the row order is the same for every spec.
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters,
-                      const CancelToken* cancel) const override;
-
-  /// Morsel-driven evaluation, bit-identical to Evaluate: pattern scans are
-  /// partitioned over the store's sorted index ranges and each binary join
-  /// runs as a sharded hash build plus a morsel-parallel probe
-  /// (ParallelJoin). Per-morsel tables concatenate in morsel order, so the
-  /// row order matches the sequential pipeline exactly.
-  BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                              BgpEvalCounters* counters,
-                              const CancelToken* cancel,
-                              const ParallelSpec& spec) const override;
+                      BgpEvalCounters* counters, const CancelToken* cancel,
+                      const ParallelSpec& spec) const override;
 
   double EstimateCost(const Bgp& bgp) const override;
 
   const CardinalityEstimator& estimator() const override { return estimator_; }
 
  private:
-  /// Scans one triple pattern into a binding table.
+  /// Scans one triple pattern into a binding table, with the matched index
+  /// range split into morsels when `spec` is enabled; the morsel tables
+  /// concatenate to the one-morsel scan's rows.
   BindingSet ScanPattern(const TriplePattern& t, const CandidateMap* cands,
-                         BgpEvalCounters* counters,
-                         CancelCheckpoint* chk) const;
-
-  /// ScanPattern with the matched index range split into morsels; the
-  /// concatenated result is bit-identical to the sequential scan.
-  BindingSet ParallelScanPattern(const TriplePattern& t,
-                                 const CandidateMap* cands,
-                                 BgpEvalCounters* counters,
-                                 const CancelToken* cancel,
-                                 const ParallelSpec& spec) const;
+                         BgpEvalCounters* counters, const CancelToken* cancel,
+                         const ParallelSpec& spec) const;
 
   const TripleStore& store_;
   const Dictionary& dict_;

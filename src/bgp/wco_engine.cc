@@ -12,14 +12,16 @@
 //                    A constrained variable's candidates drive the step:
 //                    a list far shorter than an edge's range is probed
 //                    against the index instead of scanning the range;
-//                    longer ones filter the scanned adjacency values.
+//                    longer ones filter the scanned adjacency values. A
+//                    self-loop ?v p ?v costs one existence probe per value
+//                    the step's other edges produce.
 //   3. CompleteRows— the remaining extensions + core verification +
 //                    residual expansion for a subset of partial bindings.
 //                    Row-independent, hence safe to run per morsel.
 // The final sort+unique (set semantics of BGP matching) runs globally over
-// the concatenated morsel outputs, which is why parallel evaluation is
-// bit-identical to sequential: both emit the same sorted, deduplicated row
-// set over the same schema.
+// the concatenated morsel outputs, which is why every ParallelSpec yields
+// the same sorted, deduplicated row set over the same schema; a sequential
+// evaluation is the one-morsel case.
 #include "bgp/wco_engine.h"
 
 #include <algorithm>
@@ -46,7 +48,8 @@ struct StepEdge {
   /// SIZE_MAX) the column of a variable bound by an earlier step.
   TermId other_const = kInvalidTermId;
   size_t other_col = SIZE_MAX;
-  /// Plan-time index count of the projection (?, p, ?); open edges only.
+  /// Plan-time index count of the projection (?, p, ?); open edges and
+  /// self-loops only.
   size_t range = 0;
 
   TermId Other(const std::vector<TermId>& row) const {
@@ -55,12 +58,11 @@ struct StepEdge {
 
   /// The range this edge's adjacency list scans for `row`: (?, p, other)
   /// or (other, p, ?), or the projection (?, p, ?) for self-loops and open
-  /// edges.
+  /// edges, which have no other endpoint.
   TriplePatternIds Pattern(const std::vector<TermId>& row) const {
     TriplePatternIds q;
     q.p = p;
-    if (self_loop || (other_col == SIZE_MAX && other_const == kInvalidTermId))
-      return q;
+    if (other_col == SIZE_MAX && other_const == kInvalidTermId) return q;
     (v_is_subj ? q.o : q.s) = Other(row);
     return q;
   }
@@ -68,16 +70,18 @@ struct StepEdge {
   /// The fully bound triple that holds iff `val` is adjacent over this
   /// (adjacent) edge for `row`.
   Triple With(TermId val, const std::vector<TermId>& row) const {
-    if (self_loop) return Triple(val, p, val);
     return v_is_subj ? Triple(val, p, Other(row)) : Triple(Other(row), p, val);
   }
 
-  /// The range of an open edge's triples incident to `val`.
-  TriplePatternIds Incident(TermId val) const {
+  /// The entries of an open edge's projection that `val` reaches: its
+  /// incident triples, or for a self-loop whether (val, p, val) holds.
+  size_t Reach(const TripleStore& store, TermId val,
+               TripleStore::ProbeHint* hint) const {
+    if (self_loop) return store.Contains(Triple(val, p, val), hint) ? 1 : 0;
     TriplePatternIds q;
     q.p = p;
     (v_is_subj ? q.s : q.o) = val;
-    return q;
+    return store.Count(q, hint);
   }
 };
 
@@ -90,11 +94,16 @@ constexpr size_t kProbeCost = 8;
 /// The row-independent shape of one extension step.
 struct StepPlan {
   /// Edges yielding an adjacency list per row: a constant or earlier-bound
-  /// other endpoint, or a self-loop. Their lists are intersected.
+  /// other endpoint. Their lists are intersected.
   std::vector<StepEdge> adjacent;
   /// Edges whose other endpoint binds later, in core order. Only a step
-  /// with no adjacent edge uses them, to seed itself (see SeedValues).
+  /// with no adjacent edge uses them, to seed itself (see SeedValues). A
+  /// step bound only through self-loops seeds from the first one, which
+  /// then sits here.
   std::vector<StepEdge> open;
+  /// The remaining self-loops ?v p ?v: one existence probe per produced
+  /// value each (KeepSelfLoops), never a scan per row.
+  std::vector<StepEdge> self_loops;
   /// The variable's candidate set, when it has one.
   const CandidateMap::Set* cand_set = nullptr;
   /// The candidate set sorted ascending, built only when probing it can
@@ -261,7 +270,8 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
     StepPlan st;
     // The longest range a step edge is expected to yield per row: exact
     // for constant and projection ranges, the predicate's average fan for
-    // a bound neighbour.
+    // a bound neighbour. Self-loops are probed, not scanned, unless one
+    // seeds the step.
     double max_range = 0.0;
     for (const CoreEdge& e : plan.core) {
       if (e.r.sv != var && e.r.ov != var) continue;
@@ -273,11 +283,13 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
       size_t col = IndexOf(plan.var_order, other);
       TriplePatternIds projection;
       projection.p = e.r.p;
-      double expected;
       if (se.self_loop) {
-        expected = static_cast<double>(store.Count(projection));
-        st.adjacent.push_back(se);
-      } else if (other == kInvalidVarId) {
+        se.range = store.Count(projection);
+        st.self_loops.push_back(se);
+        continue;
+      }
+      double expected;
+      if (other == kInvalidVarId) {
         se.other_const = se.v_is_subj ? e.r.o : e.r.s;
         expected = static_cast<double>(store.Count(se.Pattern({})));
         st.adjacent.push_back(se);
@@ -292,6 +304,11 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
         st.open.push_back(se);
       }
       max_range = std::max(max_range, expected);
+    }
+    if (st.adjacent.empty() && st.open.empty() && !st.self_loops.empty()) {
+      st.open.push_back(st.self_loops.front());
+      st.self_loops.erase(st.self_loops.begin());
+      max_range = static_cast<double>(st.open.front().range);
     }
     st.cand_set = cand_set(var);
     if (st.cand_set != nullptr &&
@@ -327,7 +344,7 @@ WcoPlan BuildPlan(const Bgp& bgp, const TripleStore& store,
 /// kProbeCost times shorter than some open edge's projection gets one
 /// existence probe per candidate per such edge; otherwise the first open
 /// edge's projection seeds the step, filtered by the candidates when there
-/// are any.
+/// are any. The step's other self-loops are left to KeepSelfLoops.
 void SeedValues(const TripleStore& store, const StepPlan& st,
                 BgpEvalCounters* counters, TripleStore::ProbeHint* hint,
                 std::vector<TermId>* out) {
@@ -343,7 +360,7 @@ void SeedValues(const TripleStore& store, const StepPlan& st,
       bool ok = true;
       for (size_t i = 0; i < probed.size() && ok; ++i) {
         if (counters) ++counters->index_probes;
-        size_t n = store.Count(probed[i]->Incident(val), hint);
+        size_t n = probed[i]->Reach(store, val, hint);
         if (i == 0) reached += n;
         ok = n > 0;
       }
@@ -418,6 +435,22 @@ void AdjacentValues(const TripleStore& store, const StepPlan& st,
   }
 }
 
+/// Keeps the values of `values` that carry every self-loop of the step,
+/// one existence probe per value and self-loop.
+void KeepSelfLoops(const TripleStore& store, const StepPlan& st,
+                   BgpEvalCounters* counters, TripleStore::ProbeHint* hint,
+                   std::vector<TermId>* values) {
+  for (const StepEdge& e : st.self_loops) {
+    if (counters) counters->index_probes += values->size();
+    values->erase(std::remove_if(values->begin(), values->end(),
+                                 [&](TermId val) {
+                                   return !store.Contains(
+                                       Triple(val, e.p, val), hint);
+                                 }),
+                  values->end());
+  }
+}
+
 /// Extends every partial binding in `rows` (columns = plan.var_order[0..step))
 /// with plan.var_order[step]. The per-row logic is independent across rows.
 Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
@@ -429,13 +462,17 @@ Rows ExtendStep(const TripleStore& store, const WcoPlan& plan, size_t step,
   std::vector<TermId> work;
   std::vector<TermId> edge_list;
   const bool row_independent = st.adjacent.empty();
-  if (row_independent && !rows.empty())
+  if (row_independent && !rows.empty()) {
     SeedValues(store, st, counters, hint, &values);
+    KeepSelfLoops(store, st, counters, hint, &values);
+  }
   for (const auto& row : rows) {
     chk.Poll();
-    if (!row_independent)
+    if (!row_independent) {
       AdjacentValues(store, st, row, counters, hint, &values, &work,
                      &edge_list);
+      KeepSelfLoops(store, st, counters, hint, &values);
+    }
     for (TermId val : values) {
       std::vector<TermId> nrow = row;
       nrow.push_back(val);
@@ -567,7 +604,8 @@ BindingSet EmitRows(Rows rows, const WcoPlan& plan,
 
 BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
                                BgpEvalCounters* counters,
-                               const CancelToken* cancel) const {
+                               const CancelToken* cancel,
+                               const ParallelSpec& spec) const {
   std::vector<VarId> all_vars = bgp.Variables();
   if (bgp.triples.empty()) {
     BindingSet result(all_vars);
@@ -580,31 +618,9 @@ BindingSet WcoEngine::Evaluate(const Bgp& bgp, const CandidateMap* cands,
   if (plan.definitely_empty) return BindingSet(all_vars);
   if (counters && !plan.steps.empty() && plan.steps[0].cand_set != nullptr)
     ++counters->candidate_seeds;
-  Rows rows{{}};  // one empty partial binding
-  rows = CompleteRows(store_, plan, 0, std::move(rows), cands, counters, cancel);
-  return EmitRows(std::move(rows), plan, all_vars);
-}
 
-BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                                       BgpEvalCounters* counters,
-                                       const CancelToken* cancel,
-                                       const ParallelSpec& spec) const {
-  if (!spec.enabled()) return Evaluate(bgp, cands, counters, cancel);
-  std::vector<VarId> all_vars = bgp.Variables();
-  if (bgp.triples.empty()) {
-    BindingSet result(all_vars);
-    result.AppendEmptyMappings(1);
-    return result;
-  }
-  CancelCheckpoint chk(cancel);
-  chk.Poll();
-  WcoPlan plan = BuildPlan(bgp, store_, dict_, stats_, cands);
-  if (plan.definitely_empty) return BindingSet(all_vars);
-  if (counters && !plan.steps.empty() && plan.steps[0].cand_set != nullptr)
-    ++counters->candidate_seeds;
-
-  // Seed step: bind the first core variable sequentially (one index scan),
-  // producing the partial bindings the morsels partition.
+  // Seed step: bind the first core variable once, producing the partial
+  // bindings the morsels partition.
   Rows rows{{}};
   size_t first_step = 0;
   if (!plan.var_order.empty()) {
@@ -614,9 +630,9 @@ BindingSet WcoEngine::ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands
     if (rows.empty()) return BindingSet(all_vars);
   }
 
-  size_t num_morsels = spec.MorselCount(rows.size());
+  size_t num_morsels = spec.enabled() ? spec.MorselCount(rows.size()) : 1;
   if (num_morsels <= 1) {
-    // Too little seed fan-out to split: finish sequentially.
+    // Sequential, or too little seed fan-out to split: finish inline.
     rows = CompleteRows(store_, plan, first_step, std::move(rows), cands,
                         counters, cancel);
     return EmitRows(std::move(rows), plan, all_vars);

@@ -7,7 +7,9 @@
 // constrained variable may seed the order, and a candidate list far shorter
 // than an index range replaces the scan with one existence probe per
 // candidate, so the entries the candidates exclude are never read. Longer
-// lists filter the scanned adjacency values.
+// lists filter the scanned adjacency values. A self-loop ?v p ?v is checked
+// with one existence probe per produced value, never by rescanning the
+// predicate per partial binding.
 #pragma once
 
 #include "bgp/engine.h"
@@ -21,22 +23,18 @@ class WcoEngine : public BgpEngine {
       : store_(store), dict_(dict), stats_(stats),
         estimator_(store, dict, stats) {}
 
+  using BgpEngine::Evaluate;  // the convenience overloads
+
   const char* name() const override { return "gStore-WCO"; }
 
+  /// The seed variable's bindings are produced once and partitioned into
+  /// morsels; each morsel runs the remaining vertex extensions,
+  /// verification and residual expansion independently. A disabled spec
+  /// or a seed that fits one morsel finishes inline. The final global
+  /// sort+dedup makes the result the same for every spec.
   BindingSet Evaluate(const Bgp& bgp, const CandidateMap* cands,
-                      BgpEvalCounters* counters,
-                      const CancelToken* cancel) const override;
-
-  /// Morsel-driven evaluation, bit-identical to Evaluate: the seed
-  /// variable's bindings are produced sequentially, partitioned into
-  /// morsels, and each morsel runs the remaining vertex extensions,
-  /// verification and residual expansion independently. The final global
-  /// sort+dedup (shared with the sequential path) makes the merge
-  /// deterministic.
-  BindingSet ParallelEvaluate(const Bgp& bgp, const CandidateMap* cands,
-                              BgpEvalCounters* counters,
-                              const CancelToken* cancel,
-                              const ParallelSpec& spec) const override;
+                      BgpEvalCounters* counters, const CancelToken* cancel,
+                      const ParallelSpec& spec) const override;
 
   /// WCO join cost: sum over extension steps of
   ///   card({v1..vk-1}) * min_i average_size(vi, p).

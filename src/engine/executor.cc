@@ -148,10 +148,7 @@ class TreeEvaluator {
     spec.trace = options_.trace;
     spec.trace_parent = bgp_span.id();
     BindingSet res =
-        spec.enabled()
-            ? engine_.ParallelEvaluate(bgp, cands_ptr, &counters,
-                                       options_.cancel, spec)
-            : engine_.Evaluate(bgp, cands_ptr, &counters, options_.cancel);
+        engine_.Evaluate(bgp, cands_ptr, &counters, options_.cancel, spec);
     bgp_span.Attr("patterns", std::to_string(bgp.triples.size()));
     bgp_span.Attr("rows", std::to_string(res.size()));
     bgp_span.Attr("pruned", cands_ptr != nullptr ? "true" : "false");

@@ -44,14 +44,13 @@ struct ExecOptions {
   /// Span under which the executor records its plan/transform/eval/
   /// serialize children (TraceContext::kNoSpan roots them).
   TraceContext::SpanId trace_parent = TraceContext::kNoSpan;
-  /// Intra-query parallelism (pool, worker cap, morsel size). When
-  /// `parallel.enabled()` — a non-null pool and parallelism != 1 — BGP
-  /// evaluation dispatches to the engine's morsel-driven ParallelEvaluate
-  /// path, whose results are bit-identical to sequential execution. The
-  /// pool is not owned; the query service points it at its own pool so
-  /// inter- and intra-query work share one set of workers. Execution-only:
-  /// does not affect planning, so plans cached at any parallelism are
-  /// shared.
+  /// Intra-query parallelism (pool, worker cap, morsel size), passed to
+  /// every BGP evaluation. When `parallel.enabled()` — a non-null pool and
+  /// parallelism != 1 — the engines fan their work out in morsels, with
+  /// results bit-identical to sequential execution. The pool is not owned;
+  /// the query service points it at its own pool so inter- and intra-query
+  /// work share one set of workers. Execution-only: does not affect
+  /// planning, so plans cached at any parallelism are shared.
   ParallelSpec parallel;
 
   static ExecOptions Base() { return {}; }

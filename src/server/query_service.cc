@@ -226,32 +226,24 @@ QueryService::VersionPin::VersionPin(
   std::lock_guard<std::mutex> lock(service_->mu_);
   *snap = service_->db_.Snapshot();
   version_ = (*snap)->id;
+  bool first = service_->pinned_versions_.count(version_) == 0;
   service_->pinned_versions_.insert(version_);
-  service_->UpdatePinnedGaugesLocked();
+  service_->AddPinLocked(+1, first);
 }
 
 QueryService::VersionPin::~VersionPin() {
   std::lock_guard<std::mutex> lock(service_->mu_);
-  auto it = service_->pinned_versions_.find(version_);
-  if (it != service_->pinned_versions_.end())
-    service_->pinned_versions_.erase(it);
-  service_->UpdatePinnedGaugesLocked();
+  service_->pinned_versions_.erase(
+      service_->pinned_versions_.find(version_));
+  service_->AddPinLocked(-1, service_->pinned_versions_.count(version_) == 0);
 }
 
-void QueryService::UpdatePinnedGaugesLocked() {
+void QueryService::AddPinLocked(int64_t delta, bool version_crossed) {
   if (pinned_gauge_ == nullptr) return;
-  // pinned_versions_ is a multiset (one pin per in-flight request), so its
-  // size() is the pin count, not the version count: N concurrent requests
-  // on one version are one pinned version. Walk the distinct keys —
-  // requests cluster on the current version, so this is O(distinct
-  // versions), typically 1-2 steps.
-  size_t distinct = 0;
-  for (auto it = pinned_versions_.begin(); it != pinned_versions_.end();
-       it = pinned_versions_.upper_bound(*it))
-    ++distinct;
-  pinned_gauge_->Set(static_cast<int64_t>(distinct));
-  pinned_requests_gauge_->Set(
-      static_cast<int64_t>(pinned_versions_.size()));
+  // The gauges are process-global, so each service adds only its own pins
+  // and unpins; they read the sum over live services.
+  pinned_requests_gauge_->Add(delta);
+  if (version_crossed) pinned_gauge_->Add(delta);
 }
 
 void QueryService::InvalidateCaches(uint64_t current_version) {

@@ -297,8 +297,10 @@ class QueryService {
   /// and regardless of which caches are enabled.
   void InvalidateCaches(uint64_t current_version);
 
-  /// Recomputes both pin gauges from pinned_versions_. Caller holds mu_.
-  void UpdatePinnedGaugesLocked();
+  /// Adds `delta` (+1 on pin, -1 on unpin) to the pinned-requests gauge,
+  /// and to the pinned-versions gauge when `version_crossed` (the version's
+  /// pin count on this service crossed 0 <-> 1). Caller holds mu_.
+  void AddPinLocked(int64_t delta, bool version_crossed);
 
   const Database& db_;
   Database* updatable_db_ = nullptr;  ///< Null for read-only services.
@@ -309,9 +311,10 @@ class QueryService {
   /// Slow queries seen so far; drives every-Nth log sampling.
   std::atomic<uint64_t> slow_seen_{0};
   /// Distinct versions currently pinned by in-flight requests
-  /// (obs/metrics.h); null when Options::enable_metrics is false. N
-  /// requests pinning one version count as one pinned version here;
-  /// pinned_requests_gauge_ carries the total pin count.
+  /// (obs/metrics.h), summed over live services; null when
+  /// Options::enable_metrics is false. N requests pinning one version on
+  /// one service count as one pinned version here; pinned_requests_gauge_
+  /// carries the total pin count.
   Gauge* pinned_gauge_ = nullptr;
   Gauge* pinned_requests_gauge_ = nullptr;
   Counter* dedup_leaders_metric_ = nullptr;

@@ -1,5 +1,5 @@
 // Morsel-driven intra-query parallelism: bit-identical results, abort
-// behavior, the ExecutorPool primitive, and the deterministic ParallelJoin.
+// behavior, the ExecutorPool primitive, and the deterministic morsel Join.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -92,7 +92,7 @@ TEST(ExecutorPoolTest, MorselCountMath) {
   EXPECT_EQ(spec.MorselCount(1000), 10u);
 }
 
-// --- ParallelJoin determinism -------------------------------------------
+// --- Morsel Join determinism --------------------------------------------
 
 class ParallelJoinTest : public ::testing::Test {
  protected:
@@ -114,7 +114,7 @@ TEST_F(ParallelJoinTest, MatchesJoinOnSharedVariable) {
   for (TermId i = 1; i <= 200; ++i) a.AppendRow({i, i % 10});
   for (TermId i = 1; i <= 150; ++i) b.AppendRow({i % 10, i});
   uint64_t morsels = 0;
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(16), &morsels);
+  BindingSet par = Join(a, b, nullptr, Spec(16), &morsels);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
   EXPECT_GT(morsels, 1u);
 }
@@ -123,7 +123,7 @@ TEST_F(ParallelJoinTest, MatchesJoinOnCrossProduct) {
   BindingSet a({1}), b({2});
   for (TermId i = 1; i <= 40; ++i) a.AppendRow({i});
   for (TermId i = 1; i <= 30; ++i) b.AppendRow({i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(8), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(8), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
@@ -135,7 +135,7 @@ TEST_F(ParallelJoinTest, MatchesJoinWithUnboundBuildRows) {
   for (TermId i = 1; i <= 30; ++i)
     a.AppendRow({i, i % 3 == 0 ? kUnboundTerm : i % 5});
   for (TermId i = 1; i <= 90; ++i) b.AppendRow({i % 5, i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(8), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(8), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
@@ -143,7 +143,7 @@ TEST_F(ParallelJoinTest, MatchesJoinOnMultiVariableKey) {
   BindingSet a({1, 2, 3}), b({2, 3, 4});
   for (TermId i = 1; i <= 120; ++i) a.AppendRow({i, i % 4, i % 6});
   for (TermId i = 1; i <= 80; ++i) b.AppendRow({i % 4, i % 6, i});
-  BindingSet par = ParallelJoin(a, b, nullptr, Spec(16), nullptr);
+  BindingSet par = Join(a, b, nullptr, Spec(16), nullptr);
   EXPECT_TRUE(BitIdentical(par, Join(a, b)));
 }
 
@@ -181,10 +181,15 @@ class ParallelEngineTest : public ::testing::TestWithParam<EngineKind> {
 
 INSTANTIATE_TEST_SUITE_P(Engines, ParallelEngineTest,
                          ::testing::Values(EngineKind::kWco,
-                                           EngineKind::kHashJoin),
+                                           EngineKind::kHashJoin,
+                                           EngineKind::kAdaptive),
                          [](const auto& info) {
-                           return info.param == EngineKind::kWco ? "Wco"
-                                                                 : "HashJoin";
+                           switch (info.param) {
+                             case EngineKind::kWco: return "Wco";
+                             case EngineKind::kHashJoin: return "HashJoin";
+                             case EngineKind::kAdaptive: return "Adaptive";
+                           }
+                           return "Unknown";
                          });
 
 // Morsel execution is bit-identical to sequential execution on the whole

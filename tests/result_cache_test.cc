@@ -516,6 +516,67 @@ TEST(CachePinLifecycleTest, EntriesSurviveUntilLastPinReleases) {
   EXPECT_EQ(r.version, 3u);
 }
 
+// Each service adds its own pins to the process-global gauges, so two
+// services on one database report the sum of their pins: one service's pin
+// or unpin never overwrites the other's count.
+TEST(CachePinLifecycleTest, TwoServicesSumTheirPinsInTheGauges) {
+  Database db;
+  LubmConfig cfg;
+  cfg.universities = 1;
+  GenerateLubm(cfg, &db);
+  db.Finalize(EngineKind::kWco);
+
+  QueryService::Options options;
+  options.num_threads = 2;
+  QueryService a(db, options);
+  QueryService b(db, options);
+  Gauge* pinned_versions =
+      MetricRegistry::Global().GetGauge("sparqluo_pinned_versions");
+  Gauge* pinned_requests =
+      MetricRegistry::Global().GetGauge("sparqluo_pinned_requests");
+  const int64_t versions0 = pinned_versions->value();
+  const int64_t requests0 = pinned_requests->value();
+
+  auto block = [](QueryService& service, std::shared_ptr<CancelToken> token,
+                  uint64_t misses_before) {
+    QueryRequest req;
+    req.text = kBlockerQuery;
+    req.cancel = std::move(token);
+    auto future = service.Submit(std::move(req));
+    // A plan-cache miss means the request is past its pin.
+    while (service.CacheStats().misses <= misses_before)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return future;
+  };
+
+  auto ta = std::make_shared<CancelToken>();
+  auto fa = block(a, ta, 0);
+  EXPECT_EQ(pinned_versions->value(), versions0 + 1);
+  EXPECT_EQ(pinned_requests->value(), requests0 + 1);
+
+  // b pins and unpins while a still holds its pin.
+  QueryRequest cheap;
+  cheap.text = "SELECT ?x WHERE { ?x ?p ?o } LIMIT 5";
+  ASSERT_TRUE(b.Submit(std::move(cheap)).get().status.ok());
+  EXPECT_EQ(pinned_versions->value(), versions0 + 1);
+  EXPECT_EQ(pinned_requests->value(), requests0 + 1);
+
+  // Both services pin the current version: one version each, two pins.
+  auto tb = std::make_shared<CancelToken>();
+  auto fb = block(b, tb, b.CacheStats().misses);
+  EXPECT_EQ(pinned_versions->value(), versions0 + 2);
+  EXPECT_EQ(pinned_requests->value(), requests0 + 2);
+
+  tb->RequestCancel();
+  fb.get();
+  EXPECT_EQ(pinned_versions->value(), versions0 + 1);
+  EXPECT_EQ(pinned_requests->value(), requests0 + 1);
+  ta->RequestCancel();
+  fa.get();
+  EXPECT_EQ(pinned_versions->value(), versions0);
+  EXPECT_EQ(pinned_requests->value(), requests0);
+}
+
 // Regression: commit-time invalidation used to be gated on
 // enable_plan_cache, so a service running with the plan cache disabled
 // never swept the result cache. The sweep must run unconditionally.

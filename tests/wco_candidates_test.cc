@@ -73,8 +73,7 @@ class WcoCandidatesTest : public ::testing::Test {
 
   Database db_;
   VarTable vars_;
-  // Held through the base class, whose Evaluate overloads the engines'
-  // overrides hide.
+  // Held through the base class, as the executor holds them.
   std::unique_ptr<BgpEngine> wco_;
   std::unique_ptr<BgpEngine> hj_;
 };
@@ -165,7 +164,7 @@ TEST_F(WcoCandidatesTest, RandomGraphsMatchFilteredUnprunedAndHashJoin) {
       EXPECT_TRUE(BagEquals(pruned, FilterByCandidates(unpruned, cands)));
       EXPECT_TRUE(BagEquals(pruned, hj.Evaluate(bgp, &cands, nullptr)));
       BindingSet parallel =
-          wco.ParallelEvaluate(bgp, &cands, nullptr, nullptr, spec);
+          wco.Evaluate(bgp, &cands, nullptr, nullptr, spec);
       EXPECT_TRUE(BitIdentical(parallel, pruned));
       seeded += counters.candidate_seeds;
       ++checked;
@@ -325,6 +324,68 @@ TEST_F(WcoCandidatesTest, ConstantNeighbourProbesCandidates) {
   EXPECT_EQ(c.candidates_pruned, 28u);  // hub 0's other 28 objects
   EXPECT_EQ(c.index_probes, 1u + 3u);   // the range lookup + 3 probes
   EXPECT_TRUE(BagEquals(r, FilterByCandidates(wco_->Evaluate(bgp), cands)));
+}
+
+// A self-loop ?v p ?v costs one existence probe per value the step's other
+// edges produce, and a variable bound only through self-loops is computed
+// once per extension, not once per partial binding. Each self-loop
+// projection here is longer than the p0 projection, so ?x seeds the plan
+// and the self-loop steps come after it.
+TEST_F(WcoCandidatesTest, SelfLoopStepsProbeInsteadOfRescanning) {
+  const int n = 200;
+  for (int i = 0; i < n; ++i) {
+    db_.AddTriple(Node(i), Pred(0), Node(1000 + i));
+    if (i % 2 == 0) db_.AddTriple(Node(1000 + i), Pred(2), Node(1000 + i));
+  }
+  for (int i = 0; i < 50; ++i) {
+    db_.AddTriple(Node(2000 + i), Pred(3), Node(2000 + i));  // self-loops
+    for (int k = 0; k < 6; ++k)
+      db_.AddTriple(Node(2000 + i), Pred(3), Node(3000 + k));
+  }
+  for (int i = 0; i < 2 * n; ++i)  // lengthen p2's projection past p0's
+    db_.AddTriple(Node(5000 + i), Pred(2), Node(6000 + i));
+  db_.Finalize(EngineKind::kWco);
+  MakeEngines();
+  const VarId x = vars_.Intern("x");
+  const VarId y = vars_.Intern("y");
+  const VarId z = vars_.Intern("z");
+  auto pattern = [](VarId s, int p, VarId o) {
+    TriplePattern t;
+    t.s = PatternSlot::Var(s);
+    t.p = PatternSlot::Const(Pred(p));
+    t.o = PatternSlot::Var(o);
+    return t;
+  };
+  ExecutorPool pool(3);
+  ParallelSpec spec;
+  spec.pool = &pool;
+  spec.parallelism = 4;
+  spec.morsel_size = 16;
+
+  {  // ?x p0 ?y . ?y p2 ?y: one probe per ?y value, no p2 projection scan.
+    Bgp bgp;
+    bgp.triples = {pattern(x, 0, y), pattern(y, 2, y)};
+    BgpEvalCounters c;
+    BindingSet r = wco_->Evaluate(bgp, nullptr, &c);
+    EXPECT_EQ(r.size(), static_cast<size_t>(n / 2));
+    // The p0 seed scan, then per ?x row its p0 list and one self-loop probe.
+    EXPECT_LE(c.index_probes, 1u + 2u * n);
+    EXPECT_TRUE(BagEquals(r, hj_->Evaluate(bgp)));
+    EXPECT_TRUE(
+        BitIdentical(wco_->Evaluate(bgp, nullptr, nullptr, nullptr, spec), r));
+  }
+  {  // ?x p0 ?y . ?z p3 ?z: ?z's values are computed once, not per row.
+    Bgp bgp;
+    bgp.triples = {pattern(x, 0, y), pattern(z, 3, z)};
+    BgpEvalCounters c;
+    BindingSet r = wco_->Evaluate(bgp, nullptr, &c);
+    EXPECT_EQ(r.size(), static_cast<size_t>(n * 50));
+    // The p0 seed scan, one p0 list per ?x row, one p3 projection scan.
+    EXPECT_LE(c.index_probes, 1u + n + 1u);
+    EXPECT_TRUE(BagEquals(r, hj_->Evaluate(bgp)));
+    EXPECT_TRUE(
+        BitIdentical(wco_->Evaluate(bgp, nullptr, nullptr, nullptr, spec), r));
+  }
 }
 
 }  // namespace
